@@ -1,9 +1,9 @@
 // Package bench contains the experiment drivers behind cmd/gupbench: each
 // Run* function executes one experiment from EXPERIMENTS.md against live
 // components (real TCP between client, MDM and stores) and renders the
-// result table. The testing.B benchmarks in the repository root measure the
-// same code paths with Go's benchmark machinery; these drivers produce the
-// human-readable tables with derived columns (ratios, hit rates, bytes).
+// result table with derived columns (ratios, hit rates, bytes). E16, E17
+// and E19 are committed scenarios run through internal/scenario; CPU and
+// allocation cost per operation is measured by perfbench/.
 package bench
 
 import (
@@ -551,7 +551,7 @@ func RunE8(o Options) (*metrics.Table, error) {
 		}
 		var delivered atomic.Int64
 		done := make(chan struct{})
-		changes := iters / 10
+		changes := max(iters/10, 1) // at least one, or done never closes
 		if _, err := cli.Subscribe(context.Background(),
 			fmt.Sprintf("/user[@id='%s']/presence", user),
 			func(wire.Notification) {

@@ -5,7 +5,9 @@ import (
 	"errors"
 	"fmt"
 	"sort"
+	"strconv"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"gupster/internal/flight"
@@ -86,6 +88,11 @@ type Client struct {
 	// resolve + fetch. pipe counts flights/hits/fan-outs client-side.
 	flights *flight.Group
 	pipe    *metrics.PipelineStats
+	// writeGen counts this client's completed writes (Update, PutRule,
+	// DeleteRule, SyncDeviceComponent). It is part of the coalescing key,
+	// so a Get issued after a write never joins a flight that may have
+	// read the data before it.
+	writeGen atomic.Uint64
 
 	// Tracer records request traces. DialMDM installs a default collector
 	// (tracing is cheap enough to stay on); set nil to disable.
@@ -456,7 +463,9 @@ func (c *Client) Get(ctx context.Context, path string) (*xmltree.Node, error) {
 // GetAs is Get with an explicit request context. Identical concurrent
 // calls (same path and context) coalesce into one resolve + fetch;
 // followers receive an independent clone of the shared tree, so callers
-// may mutate their result freely.
+// may mutate their result freely. A call never joins a flight that began
+// before this client's last completed write, so the client reads its
+// own writes.
 func (c *Client) GetAs(ctx context.Context, path string, reqCtx policy.Context) (*xmltree.Node, error) {
 	ctx, cancel := c.withBudget(ctx)
 	defer cancel()
@@ -481,8 +490,7 @@ func (c *Client) getAs(ctx context.Context, path string, reqCtx policy.Context) 
 	if c.DisableCoalescing {
 		return do()
 	}
-	key := path + "\x00" + reqCtx.Requester + "\x00" + reqCtx.Role + "\x00" + string(reqCtx.Purpose)
-	v, shared, err := c.flights.Do(ctx, key, func() (any, error) { return do() })
+	v, shared, err := c.flights.Do(ctx, c.getKey(path, reqCtx), func() (any, error) { return do() })
 	if err != nil {
 		return nil, err
 	}
@@ -491,6 +499,13 @@ func (c *Client) getAs(ctx context.Context, path string, reqCtx policy.Context) 
 		doc = doc.Clone()
 	}
 	return doc, nil
+}
+
+// getKey is the coalescing key of a GetAs: the request plus the client's
+// write generation.
+func (c *Client) getKey(path string, reqCtx policy.Context) string {
+	return path + "\x00" + reqCtx.Requester + "\x00" + reqCtx.Role + "\x00" + string(reqCtx.Purpose) +
+		"\x00" + strconv.FormatUint(c.writeGen.Load(), 10)
 }
 
 // BatchResolve sends several resolves in one frame; the MDM answers the
@@ -686,6 +701,7 @@ func (c *Client) fetchAlternative(ctx context.Context, alt wire.Alternative) (*x
 // requirement 4; a write must reach all replicas). It returns the number of
 // stores written.
 func (c *Client) Update(ctx context.Context, path string, frag *xmltree.Node) (int, error) {
+	defer c.writeGen.Add(1) // even a failed update may have written some stores
 	ctx, cancel := c.withBudget(ctx)
 	defer cancel()
 	ctx, finish := c.startRoot(ctx, "client.update")
@@ -1046,6 +1062,7 @@ func (c *Client) rehomeSubsTo(addr string) bool {
 // PutRule provisions a privacy-shield rule for owner (self-provisioning —
 // "enter once, use everywhere" requires the owner to stay in control).
 func (c *Client) PutRule(ctx context.Context, owner string, rule policy.Rule) error {
+	defer c.writeGen.Add(1)
 	return c.callMutate(ctx, wire.TypePutRule, &wire.PutRuleRequest{
 		Owner: owner,
 		Rule:  encodeRule(rule),
@@ -1054,12 +1071,14 @@ func (c *Client) PutRule(ctx context.Context, owner string, rule policy.Rule) er
 
 // DeleteRule removes a rule.
 func (c *Client) DeleteRule(ctx context.Context, owner, ruleID string) error {
+	defer c.writeGen.Add(1)
 	return c.callMutate(ctx, wire.TypeDeleteRule, &wire.DeleteRuleRequest{Owner: owner, RuleID: ruleID}, nil)
 }
 
 // SyncDeviceComponent resolves an update grant for path and runs one sync
 // session for the device against the first fully-covering store.
 func (c *Client) SyncDeviceComponent(ctx context.Context, path string, dev *syncml.Device, pol syncml.Policy) (syncml.Stats, error) {
+	defer c.writeGen.Add(1)
 	resp, err := c.Resolve(ctx, &wire.ResolveRequest{
 		Path:    path,
 		Context: c.contextFor(policy.PurposeSync),

@@ -56,6 +56,16 @@ type Mirror struct {
 	mu    sync.Mutex
 	peers map[string]*wire.Client // address → connection
 
+	// peering orders client mutations against AddPeer: handle holds it
+	// shared from reading the peer set until its local apply is done,
+	// AddPeer exclusively across installing a peer and replaying the
+	// snapshot. Every mutation is therefore either forwarded to the new
+	// peer or already in the snapshot it receives.
+	peering sync.RWMutex
+	// beforeApply, when set, runs between a client mutation's peer read
+	// and its local apply (tests force interleavings with it).
+	beforeApply func()
+
 	// peerConns tracks inbound connections that identified as peers.
 	peerMu    sync.Mutex
 	peerConns map[*wire.ServerConn]bool
@@ -102,8 +112,13 @@ func (m *Mirror) AddPeer(addr string) error {
 		c.Close()
 		return err
 	}
-	// Install the peer first so concurrent mutations start forwarding, then
-	// replay the snapshot — replays are idempotent, so overlap is harmless.
+	// Taking peering waits out every mutation that read the old peer set,
+	// so the snapshot holds them all; mutations after the install forward
+	// to the new peer. Holding it through the replay also keeps a
+	// forwarded delete from being overtaken by the replayed state it
+	// deletes.
+	m.peering.Lock()
+	defer m.peering.Unlock()
 	m.mu.Lock()
 	if old, ok := m.peers[addr]; ok {
 		old.Close()
@@ -223,6 +238,8 @@ func (m *Mirror) handle(c *wire.ServerConn, msg *wire.Message) {
 		fromPeer := m.peerConns[c]
 		m.peerMu.Unlock()
 		if !fromPeer {
+			m.peering.RLock()
+			defer m.peering.RUnlock()
 			m.mu.Lock()
 			peers := make([]*wire.Client, 0, len(m.peers))
 			for _, p := range m.peers {
@@ -247,6 +264,9 @@ func (m *Mirror) handle(c *wire.ServerConn, msg *wire.Message) {
 				return nil
 			})
 			rsp.Finish(nil)
+			if m.beforeApply != nil {
+				m.beforeApply()
+			}
 		}
 	}
 	// Apply locally (the local core server replies to the caller).

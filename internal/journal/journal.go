@@ -158,7 +158,7 @@ type Journal struct {
 	base     uint64
 	baseTerm uint64
 	recs     []Record
-	syncErr  error  // sticky: a failed flush/fsync poisons the journal
+	syncErr  error // sticky: a failed flush/fsync poisons the journal
 	closed   bool
 	flusherG sync.WaitGroup
 

@@ -21,11 +21,11 @@ import "gupster/internal/journal"
 // otherwise it reports where its log actually ends so the leader can
 // rewind.
 type AppendRequest struct {
-	Term       uint64           `json:"term"`
-	LeaderID   string           `json:"leader_id"`
-	PrevIndex  uint64           `json:"prev_index"`
-	PrevTerm   uint64           `json:"prev_term"`
-	Entries    []journal.Record `json:"entries,omitempty"`
+	Term      uint64           `json:"term"`
+	LeaderID  string           `json:"leader_id"`
+	PrevIndex uint64           `json:"prev_index"`
+	PrevTerm  uint64           `json:"prev_term"`
+	Entries   []journal.Record `json:"entries,omitempty"`
 }
 
 // AppendResponse acknowledges an AppendRequest. Ok false with a higher

@@ -2,6 +2,7 @@ package scenario
 
 import (
 	"fmt"
+	"sort"
 	"time"
 )
 
@@ -171,6 +172,46 @@ func evalOne(a *Assertion, report *Report) AssertionResult {
 		}
 		return pass("%d rigs converged on a single shard-map view with no split-brain owners", checked)
 
+	case AssertWaveRatioCeiling:
+		res.Target = a.Num + "/" + a.Den
+		var ratios []float64
+		for i := range report.Phases {
+			num := &report.Phases[i]
+			wave, ok := waveOf(num.Name, a.Num)
+			if !ok {
+				continue
+			}
+			den := phase(wave + "-" + a.Den)
+			if den == nil {
+				return fail("wave %s has phase %s but no %s-%s to pair it with", wave, num.Name, wave, a.Den)
+			}
+			if num.Errors > 0 || den.Errors > 0 {
+				return fail("wave %s had %d/%d errors in %s/%s — a p95 over failed requests is no measurement", wave, num.Errors, den.Errors, num.Name, den.Name)
+			}
+			if den.P95Micros <= 0 {
+				return fail("phase %s recorded no latency to divide by", den.Name)
+			}
+			ratios = append(ratios, float64(num.P95Micros)/float64(den.P95Micros))
+		}
+		if len(ratios) == 0 {
+			return fail("no wN-%s/wN-%s phase pairs in report", a.Num, a.Den)
+		}
+		// The median of adjacent-wave ratios, not the ratio of pooled
+		// p95s: a pooled tail belongs to whichever wave machine noise
+		// hit, while the median discards that wave.
+		got := median(ratios)
+		if got > a.MaxRatio {
+			return fail("median per-wave p95 ratio %s/%s = %.3f over %d waves above ceiling %.2f — the %s side got slower", a.Num, a.Den, got, len(ratios), a.MaxRatio, a.Num)
+		}
+		return pass("median per-wave p95 ratio %s/%s = %.3f over %d waves within ceiling %.2f", a.Num, a.Den, got, len(ratios), a.MaxRatio)
+
+	case AssertSpansFloor:
+		res.Target = "mdm"
+		if float64(report.MDMSpans) < a.Min {
+			return fail("rig MDMs collected %d trace spans, floor %.0f — tracing was not exercised", report.MDMSpans, a.Min)
+		}
+		return pass("rig MDMs collected %d trace spans (floor %.0f)", report.MDMSpans, a.Min)
+
 	case AssertMovedOwnersFloor:
 		p := phase(a.Phase)
 		if p == nil {
@@ -185,4 +226,15 @@ func evalOne(a *Assertion, report *Report) AssertionResult {
 		return pass("phase %s rebalanced in %dms, %d owners moved (floor %.0f)", a.Phase, p.RebalanceMillis, p.MovedOwners, a.Min)
 	}
 	return fail("unknown assertion kind %q", a.Kind)
+}
+
+// median returns the median of vs, averaging the middle pair of an even
+// count; vs must be non-empty.
+func median(vs []float64) float64 {
+	s := append([]float64(nil), vs...)
+	sort.Float64s(s)
+	if len(s)%2 == 1 {
+		return s[len(s)/2]
+	}
+	return (s[len(s)/2-1] + s[len(s)/2]) / 2
 }

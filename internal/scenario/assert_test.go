@@ -1,6 +1,7 @@
 package scenario
 
 import (
+	"fmt"
 	"strings"
 	"testing"
 	"time"
@@ -158,5 +159,71 @@ func TestEvaluateUnknownKind(t *testing.T) {
 	}
 	if !strings.Contains(rep.Assertions[0].Detail, "unknown assertion kind") {
 		t.Errorf("detail %q does not name the problem", rep.Assertions[0].Detail)
+	}
+}
+
+// waveReport builds a report of interleaved wN-on / wN-off phases with
+// the given per-wave p95 ratios (off fixed at 10ms).
+func waveReport(ratios ...float64) *Report {
+	r := &Report{}
+	for i, ratio := range ratios {
+		r.Phases = append(r.Phases,
+			PhaseReport{Name: fmt.Sprintf("w%d-ref-off", i), P95Micros: 10000},
+			PhaseReport{Name: fmt.Sprintf("w%d-ref-on", i), P95Micros: int64(10000 * ratio)})
+	}
+	return r
+}
+
+// TestWaveRatioCeiling checks the E17 statistic: the median of per-wave
+// paired p95 ratios, so one noisy wave cannot fail (or pass) the gate.
+func TestWaveRatioCeiling(t *testing.T) {
+	sc := &Scenario{Asserts: []Assertion{{Kind: AssertWaveRatioCeiling, Num: "ref-on", Den: "ref-off", MaxRatio: 1.05}}}
+	eval := func(r *Report) AssertionResult {
+		t.Helper()
+		Evaluate(sc, r)
+		if len(r.Assertions) != 1 {
+			t.Fatalf("got %d results, want 1", len(r.Assertions))
+		}
+		return r.Assertions[0]
+	}
+
+	// One wave hit by a 3x stall: the median ignores it.
+	if res := eval(waveReport(1.01, 1.02, 0.99, 3.0, 1.00, 1.03)); !res.Pass {
+		t.Errorf("one noisy wave failed the gate: %s", res.Detail)
+	}
+	// A real 10% overhead in most waves fails, one quiet wave cannot hide it.
+	if res := eval(waveReport(1.10, 1.12, 0.98, 1.11, 1.09, 1.10)); res.Pass || !strings.Contains(res.Detail, "above ceiling") {
+		t.Errorf("systematic overhead passed: %s", res.Detail)
+	}
+	// Errors in a paired phase void the measurement.
+	r := waveReport(1.0, 1.0)
+	r.Phase("w1-ref-off").Errors = 2
+	if res := eval(r); res.Pass || !strings.Contains(res.Detail, "errors") {
+		t.Errorf("errored wave passed: %s", res.Detail)
+	}
+	// A wave without its partner is a broken scenario, not a pass.
+	r = waveReport(1.0)
+	r.Phases = append(r.Phases, PhaseReport{Name: "w1-ref-on", P95Micros: 10000})
+	if res := eval(r); res.Pass || !strings.Contains(res.Detail, "no w1-ref-off") {
+		t.Errorf("unpaired wave passed: %s", res.Detail)
+	}
+	if res := eval(&Report{}); res.Pass {
+		t.Error("report without waves passed")
+	}
+}
+
+// TestSpansFloor: a traced run that recorded no spans at the MDM did
+// not exercise tracing and must fail.
+func TestSpansFloor(t *testing.T) {
+	sc := &Scenario{Asserts: []Assertion{{Kind: AssertSpansFloor, Min: 1}}}
+	rep := &Report{}
+	Evaluate(sc, rep)
+	if rep.Pass || !strings.Contains(rep.Assertions[0].Detail, "tracing was not exercised") {
+		t.Errorf("zero spans passed: %+v", rep.Assertions[0])
+	}
+	rep = &Report{MDMSpans: 40}
+	Evaluate(sc, rep)
+	if !rep.Pass {
+		t.Errorf("40 spans failed: %s", rep.Assertions[0].Detail)
 	}
 }

@@ -514,8 +514,8 @@ func decodeRig(n *node, r *RigSpec) error {
 			r.ShardLinks = spec
 			return nil
 		},
-		"profile":            setString(&r.Profile, "profile"),
-		"links":              func(n *node) error { return decodeLinks(n, &r.Links) },
+		"profile": setString(&r.Profile, "profile"),
+		"links":   func(n *node) error { return decodeLinks(n, &r.Links) },
 	})
 }
 
@@ -555,17 +555,17 @@ func decodeLinkSpec(n *node, l *LinkSpec) error {
 
 func decodePhase(n *node, p *Phase) error {
 	return fields(n, "phase", map[string]func(*node) error{
-		"name":      setString(&p.Name, "phase name"),
-		"rig":       setString(&p.Rig, "rig"),
-		"calibrate": setInt(&p.Calibrate, "calibrate"),
-		"clients":   setInt(&p.Clients, "clients"),
-		"rounds":    setInt(&p.Rounds, "rounds"),
-		"conns":     setInt(&p.Conns, "conns"),
-		"duration":  setDuration(&p.Duration, "duration"),
-		"kill-leader-after": setDuration(&p.KillLeaderAfter, "kill-leader-after"),
-		"rebalance-after":   setDuration(&p.RebalanceAfter, "rebalance-after"),
-		"kill-shard-after":  setDuration(&p.KillShardAfter, "kill-shard-after"),
-		"kill-shard":        setString(&p.KillShard, "kill-shard"),
+		"name":                 setString(&p.Name, "phase name"),
+		"rig":                  setString(&p.Rig, "rig"),
+		"calibrate":            setInt(&p.Calibrate, "calibrate"),
+		"clients":              setInt(&p.Clients, "clients"),
+		"rounds":               setInt(&p.Rounds, "rounds"),
+		"conns":                setInt(&p.Conns, "conns"),
+		"duration":             setDuration(&p.Duration, "duration"),
+		"kill-leader-after":    setDuration(&p.KillLeaderAfter, "kill-leader-after"),
+		"rebalance-after":      setDuration(&p.RebalanceAfter, "rebalance-after"),
+		"kill-shard-after":     setDuration(&p.KillShardAfter, "kill-shard-after"),
+		"kill-shard":           setString(&p.KillShard, "kill-shard"),
 		"partition-after":      setDuration(&p.PartitionAfter, "partition-after"),
 		"partition-shard":      setString(&p.PartitionShard, "partition-shard"),
 		"partition-heal-after": setDuration(&p.PartitionHealAfter, "partition-heal-after"),

@@ -73,6 +73,10 @@ func TestDecodeE16Golden(t *testing.T) {
 			{Kind: AssertErrorCeiling, Phase: "referral-batched"},
 			{Kind: AssertErrorCeiling, Phase: "chaining-serial"},
 			{Kind: AssertErrorCeiling, Phase: "chaining-coalesced"},
+			{Kind: AssertP95Ceiling, Phase: "referral-serial", Max: 104003 * time.Microsecond},
+			{Kind: AssertP95Ceiling, Phase: "chaining-serial", Max: 507483 * time.Microsecond},
+			{Kind: AssertP95Ceiling, Phase: "referral-batched", Max: 61726 * time.Microsecond},
+			{Kind: AssertP95Ceiling, Phase: "chaining-coalesced", Max: 120762 * time.Microsecond},
 		},
 	}
 	if !reflect.DeepEqual(got, want) {
@@ -146,6 +150,7 @@ func TestDecodeRejections(t *testing.T) {
 		{"unknown layout", strings.Replace(minimal, "layout: split", "layout: mesh", 1), "unknown layout"},
 		{"unknown verb", strings.Replace(minimal, "verb: resolve", "verb: teleport", 1), "unknown verb"},
 		{"unknown assertion kind", minimal + "assertions:\n  - kind: vibes-floor\n", "unknown assertion kind"},
+		{"wave ratio without wave phases", minimal + "assertions:\n  - kind: wave-p95-ratio-ceiling\n    num: on\n    den: off\n    max: 1.05\n", "no phase pair"},
 		{"phase names unknown rig", strings.Replace(minimal, "rig: r", "rig: ghost", 1), "unknown rig"},
 		{"duplicate phase", minimal + `  - name: p
     rig: r

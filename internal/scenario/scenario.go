@@ -10,14 +10,17 @@
 // A scenario is a small YAML-subset file (see decode.go; no external
 // dependencies) declaring a topology, a phase list, and assertions. The
 // engine subsumes the bespoke rigs the E13–E19 experiments each grew in
-// internal/bench: those benchmarks now build their rigs and run their
-// phases through this package, so composing a new experiment — an
-// overload wave during a store blackout under a thundering-herd
-// re-registration, say — is a scenario file, not a new harness.
+// internal/bench: E16, E17 and E19 exist only as committed scenario
+// files, E13, E14 and E18 build their rigs through this package, and
+// composing a new experiment — an overload wave during a store blackout
+// under a thundering-herd re-registration, say — is a scenario file, not
+// a new harness.
 package scenario
 
 import (
 	"fmt"
+	"strconv"
+	"strings"
 	"time"
 )
 
@@ -72,6 +75,8 @@ const (
 	AssertMovedOwnersFloor = "moved-owners-floor"
 	AssertRepairCeiling    = "repair-ceiling"
 	AssertConvergence      = "convergence"
+	AssertWaveRatioCeiling = "wave-p95-ratio-ceiling"
+	AssertSpansFloor       = "mdm-spans-floor"
 )
 
 // Scenario is one declarative experiment: a topology, phases on a
@@ -299,15 +304,18 @@ type FaultSpec struct {
 // Assertion is one end-of-run check against the report.
 type Assertion struct {
 	Kind string
-	// Phase targets single-phase kinds; Num/Den the ratio kinds.
+	// Phase targets single-phase kinds; Num/Den the ratio kinds. For
+	// wave-p95-ratio-ceiling, Num and Den are phase-name suffixes: every
+	// wave N pairs phase "wN-<Num>" with phase "wN-<Den>".
 	Phase    string
 	Num, Den string
 	// Max bounds p95-ceiling.
 	Max time.Duration
 	// Min floors goodput-floor (per-sec), throughput-ratio-floor,
-	// retention-floor and shed-floor.
+	// retention-floor, shed-floor and mdm-spans-floor.
 	Min float64
-	// MaxRatio caps retention-ceiling; MaxCount caps error-ceiling.
+	// MaxRatio caps retention-ceiling and wave-p95-ratio-ceiling;
+	// MaxCount caps error-ceiling.
 	MaxRatio float64
 	MaxCount int
 }
@@ -641,6 +649,24 @@ func (a *Assertion) validate(sc string, phases map[string]bool) error {
 		return need(a.Phase, "phase")
 	case AssertConvergence:
 		return nil
+	case AssertWaveRatioCeiling:
+		if a.MaxRatio <= 0 {
+			return fmt.Errorf("scenario %s: wave-p95-ratio-ceiling needs max", sc)
+		}
+		if a.Num == "" || a.Den == "" {
+			return fmt.Errorf("scenario %s: wave-p95-ratio-ceiling needs num and den", sc)
+		}
+		for name := range phases {
+			if wave, ok := waveOf(name, a.Num); ok && phases[wave+"-"+a.Den] {
+				return nil
+			}
+		}
+		return fmt.Errorf("scenario %s: wave-p95-ratio-ceiling: no phase pair wN-%s / wN-%s", sc, a.Num, a.Den)
+	case AssertSpansFloor:
+		if a.Min <= 0 {
+			return fmt.Errorf("scenario %s: mdm-spans-floor needs min", sc)
+		}
+		return nil
 	default:
 		return fmt.Errorf("scenario %s: unknown assertion kind %q", sc, a.Kind)
 	}
@@ -653,6 +679,19 @@ func storeIndex(name string) int {
 		return -1
 	}
 	return i
+}
+
+// waveOf parses a wave phase name: waveOf("w3-referral-on",
+// "referral-on") → "w3", true.
+func waveOf(name, suffix string) (string, bool) {
+	wave, rest, ok := strings.Cut(name, "-")
+	if !ok || rest != suffix || len(wave) < 2 || wave[0] != 'w' {
+		return "", false
+	}
+	if _, err := strconv.Atoi(wave[1:]); err != nil {
+		return "", false
+	}
+	return wave, true
 }
 
 // shardIndex parses "shard-2" → 2, or -1.

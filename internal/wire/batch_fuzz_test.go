@@ -29,7 +29,7 @@ func FuzzBatchResolveFrame(f *testing.F) {
 		req := BatchResolveRequest{}
 		for i := 0; i < n; i++ {
 			req.Requests = append(req.Requests, ResolveRequest{
-				Path: path,
+				Path:    path,
 				Context: policy.Context{Requester: requester, Purpose: policy.Purpose(purpose)},
 			})
 		}
